@@ -109,6 +109,7 @@ class GradedModuleSpec:
     center_mult: whether multiplication by ring variable 0, playing the
     role of the projection center, is available beyond the acting roster
     (as a module map, or as the canonical section when x0_section is set).
+    Subclasses present modules built from an ideal, held as self.ideal.
     """
 
     def __init__(self, label, ring, acting, finitely_generated, center_mult, x0_section=False):
@@ -130,7 +131,7 @@ class GradedModuleSpec:
         raise NotImplementedError
 
     def _weights_valid(self):
-        return False
+        return self.ideal.is_multihomogeneous()
 
     # public ---------------------------------------------------------------
     def piece(self, d):
@@ -182,9 +183,6 @@ class _IdealModuleSpec(GradedModuleSpec):
         self.ideal = ideal
         self.pieces = _shared_pieces(ideal, front_split)
 
-    def _weights_valid(self):
-        return self.ideal.is_multihomogeneous()
-
     def _compute_piece(self, d):
         return self.pieces.lt_monomials(d)
 
@@ -210,9 +208,6 @@ class _QuotientRingSpec(GradedModuleSpec):
         self.ideal = ideal
         self.pieces = _shared_pieces(ideal, True)
 
-    def _weights_valid(self):
-        return self.ideal.is_multihomogeneous()
-
     def _compute_piece(self, d):
         if d < 0:
             return ()
@@ -235,58 +230,20 @@ class _QuotientRingSpec(GradedModuleSpec):
         return cols
 
 
-class _SubquotientSpec(GradedModuleSpec):
-    """I / (I intersect front-free subring), as a module over the acting
-    (front-free) variables.
-
-    Basis: the front-divisible leading-term monomials.  Multiplication by
-    an acting variable is the ideal multiplication followed by dropping
-    front-free basis components (the quotient projection).  Multiplication
-    by the front variable itself is not module-theoretic here; the columns
-    produced for v=0 are the canonical section push x0*f_u followed by
-    projection, meaningful on homology under the quadratic/smooth
-    hypotheses and flagged by x0_section.
-    """
-
-    def __init__(self, ideal, label):
-        acting = tuple(range(1, ideal.ring.nvars))
-        super().__init__(
-            label,
-            ideal.ring,
-            acting,
-            finitely_generated=False,
-            center_mult=True,
-            x0_section=True,
-        )
-        self.ideal = ideal
-        self.pieces = _shared_pieces(ideal, True)
-
-    def _weights_valid(self):
-        return self.ideal.is_multihomogeneous()
-
-    def _compute_piece(self, d):
-        return tuple(u for u in self.pieces.lt_monomials(d) if u[0] > 0)
-
-    def _compute_mult(self, v, d):
-        src = self.piece(d)
-        tgt_index = {u: k for k, u in enumerate(self.piece(d + 1))}
-        full_tgt = self.pieces.lt_monomials(d + 1)
-        xs = self.ring.var(v)
-        cols = []
-        for u in src:
-            full = self.pieces.expand(xs * self.pieces.basis_poly(d, u), d + 1)
-            col = {}
-            for k, c in full.items():
-                w = full_tgt[k]
-                if w[0] > 0:
-                    col[tgt_index[w]] = c
-            cols.append(col)
-        return cols
-
-
 class _FiltrationStepSpec(GradedModuleSpec):
     """The subquotient of elements with front-degree between 1 and step,
-    modulo the front-free part: basis u with 1 <= d0(u) <= step."""
+    modulo the front-free part, as a module over the acting (front-free)
+    variables: basis u with 1 <= d0(u) <= step.  With step None there is
+    no upper bound and the module is I / (I intersect front-free subring).
+
+    Multiplication by an acting variable is the ideal multiplication
+    followed by dropping front-free basis components (the quotient
+    projection).  Multiplication by the front variable itself is not
+    module-theoretic here; the columns produced for v=0 are the canonical
+    section push x0*f_u followed by projection (clamped at the step),
+    meaningful on homology under the quadratic/smooth hypotheses and
+    flagged by x0_section.
+    """
 
     def __init__(self, ideal, step, label):
         acting = tuple(range(1, ideal.ring.nvars))
@@ -302,11 +259,11 @@ class _FiltrationStepSpec(GradedModuleSpec):
         self.step = step
         self.pieces = _shared_pieces(ideal, True)
 
-    def _weights_valid(self):
-        return self.ideal.is_multihomogeneous()
+    def _in_window(self, u):
+        return u[0] >= 1 and (self.step is None or u[0] <= self.step)
 
     def _compute_piece(self, d):
-        return tuple(u for u in self.pieces.lt_monomials(d) if 1 <= u[0] <= self.step)
+        return tuple(u for u in self.pieces.lt_monomials(d) if self._in_window(u))
 
     def _compute_mult(self, v, d):
         src = self.piece(d)
@@ -321,7 +278,7 @@ class _FiltrationStepSpec(GradedModuleSpec):
                 w = full_tgt[k]
                 if w[0] == 0:
                     continue
-                if w[0] > self.step:
+                if not self._in_window(w):
                     # acting variables never raise the front degree; only the
                     # v=0 section can overflow the step, and it clamps
                     if v != 0:
@@ -349,9 +306,6 @@ class _ShiftedIdealSpec(GradedModuleSpec):
         self.ideal = ideal
         self.shift = shift
         self.pieces = _shared_pieces(ideal, False)
-
-    def _weights_valid(self):
-        return self.ideal.is_multihomogeneous()
 
     def _compute_piece(self, d):
         return self.pieces.lt_monomials(d - self.shift)
@@ -407,7 +361,9 @@ def subquotient_spec(ideal, label=None):
     if ideal.ring.nvars < 2:
         raise ValueError("subquotient needs at least two variables")
     return _cached(
-        ideal, ("subquotient",), lambda: _SubquotientSpec(ideal, label or "subquotient")
+        ideal,
+        ("subquotient",),
+        lambda: _FiltrationStepSpec(ideal, None, label or "subquotient"),
     )
 
 

@@ -11,11 +11,27 @@ spaces split by total multiweight and the differential preserves it, so
 every rank computation shatters into small independent blocks; without
 weights everything sits in one block and the same code runs unchanged.
 
+Induced maps.  A linear map f from the chain space C at (i, j) of one
+complex to the chain space D at (i, j') of another sends the cycles Z of C
+to D / B, B the boundaries of D, with rank dim (f(Z) + B) - dim B; for a
+chain map that is the rank of the induced map on homology.  Rank-only
+reports read it off one stacked matrix, without homology bases:
+
+    rank [[d_C, f], [0, d_D]] = rank d_C(i, j) + dim (f(Z) + B).
+
+Proof: the image of (c, b) -> (d c, f c + d b) projects onto im d_C, and
+the part of it the projection kills is {(0, f z + d b) : z in Z, b}, that
+is 0 (+) (f(Z) + B).  So for any linear f, chain map or not,
+    rank = stacked rank - rank d_C(i, j) - rank d_D(i+1, j'-1);
+both corrections are memoised differential ranks, and the stacked matrix
+splits into the same multiweight blocks as d.
+
 Homology bases are canonical: kernels and boundary spans are kept in
 reduced echelon form, and representatives are cycles reduced modulo
 boundaries, so induced-map matrices are reproducible across runs.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -36,6 +52,42 @@ def _tuple_add(a, b):
 def _shift_block(mu, delta):
     """Target block key under a map of weight delta; () means no shift."""
     return mu if not delta else _tuple_add(mu, delta)
+
+
+def _koszul_cols(sources, mult, tid, p):
+    """Columns of the Koszul differential
+        d(T (x) b) = sum_k (-1)^k (T minus t_k) (x) t_k b
+    on the chain elements `sources`, one sparse dict each.
+
+    The target element (T', b') gets row tid[(T', b')]; a target missing
+    from tid is given the next free id, so an empty dict yields consistent
+    local coordinates for one block and a filled one fixed positions.
+    """
+    cols = []
+    for T, b in sources:
+        col = {}
+        for k, t in enumerate(T):
+            Trest = T[:k] + T[k + 1:]
+            s = 1 if k % 2 == 0 else p - 1
+            for b2, c in mult[t][b].items():
+                loc = tid.setdefault((Trest, b2), len(tid))
+                v = (col.get(loc, 0) + s * c) % p
+                if v:
+                    col[loc] = v
+                else:
+                    col.pop(loc, None)
+        cols.append(col)
+    return cols
+
+
+# A chain-level map T (x) b -> sum_b2 cols[b][b2] * T' (x) b2 between equal
+# wedge degrees: cols is a piece matrix (one sparse column per basis vector
+# of the source piece) and T' adds `shift` to every wedge index of T.
+_ChainMap = namedtuple("_ChainMap", "cols shift")
+
+
+def _relabel(T, shift):
+    return tuple(t + shift for t in T) if shift else T
 
 
 class _Complex:
@@ -94,21 +146,22 @@ class _Complex:
 
     def blocks(self, i, j):
         """{multiweight: [(T, b), ...]} for the chain space at (i, j),
-        cached together with global positions (homology paths only; rank
-        paths stream through _source_buckets instead)."""
+        cached together with block-local positions (homology paths only;
+        rank paths stream through _source_buckets instead)."""
         key = (i, j)
         if key in self._blocks:
             return self._blocks[key]
         out = self._source_buckets(i, j)
         pos = {}
-        for mu, lst in out.items():
+        for lst in out.values():
             for k, tb in enumerate(lst):
-                pos[tb] = (mu, k)
+                pos[tb] = k
         self._blocks[key] = out
         self._pos[key] = pos
         return out
 
     def positions(self, i, j):
+        """{(T, b): index of the element inside its multiweight block}."""
         self.blocks(i, j)
         return self._pos[(i, j)]
 
@@ -119,6 +172,9 @@ class _Complex:
         return comb(n, i) * self.spec.dim(j)
 
     # -- differential ------------------------------------------------------
+    def _mults(self, j):
+        return {v: self.spec.mult(v, j) for v in self.acting}
+
     def diff(self, i, j):
         """Columns of d_i: (i,j) -> (i-1,j+1), blockwise.
 
@@ -127,141 +183,43 @@ class _Complex:
         target block mu.
         """
         key = (i, j)
-        if key in self._diff:
-            return self._diff[key]
-        src = self.blocks(i, j)
-        out = {}
-        if i < 1 or not src:
-            out = {mu: [dict() for _ in lst] for mu, lst in src.items()}
-            self._diff[key] = out
-            return out
-        tgt_pos = self.positions(i - 1, j + 1)
-        p = self.p
-        mult = {v: self.spec.mult(v, j) for v in self.acting}
-        for mu, lst in src.items():
-            cols = []
-            for T, b in lst:
-                col = {}
-                sign = 1
-                for k, t in enumerate(T):
-                    Trest = T[:k] + T[k + 1:]
-                    s = 1 if k % 2 == 0 else p - 1
-                    for b2, c in mult[t][b].items():
-                        tp = tgt_pos.get((Trest, b2))
-                        if tp is None:
-                            continue
-                        local = tp[1]
-                        v = (col.get(local, 0) + s * c) % p
-                        if v:
-                            col[local] = v
-                        else:
-                            col.pop(local, None)
-                cols.append(col)
-            out[mu] = cols
-        self._diff[key] = out
-        return out
-
-    def _stream_diff_blocks(self, i, j):
-        """Yield the columns of d_i at (i, j) one multiweight block at a
-        time, in lazily assigned local target coordinates.  Local ids are
-        consistent within a block, which is all a rank needs; nothing is
-        cached, so peak memory is one block plus the source roster."""
-        buckets = self._source_buckets(i, j)
-        mult = {v: self.spec.mult(v, j) for v in self.acting}
-        p = self.p
-        for lst in buckets.values():
-            tid = {}
-            cols = []
-            for T, b in lst:
-                col = {}
-                for k, t in enumerate(T):
-                    Trest = T[:k] + T[k + 1:]
-                    s = 1 if k % 2 == 0 else p - 1
-                    for b2, c in mult[t][b].items():
-                        loc = tid.setdefault((Trest, b2), len(tid))
-                        v = (col.get(loc, 0) + s * c) % p
-                        if v:
-                            col[loc] = v
-                        else:
-                            col.pop(loc, None)
-                cols.append(col)
-            yield cols
+        if key not in self._diff:
+            src = self.blocks(i, j)
+            mult = self._mults(j) if i >= 1 and src else None
+            tgt = self.positions(i - 1, j + 1)
+            self._diff[key] = {
+                mu: _koszul_cols(lst, mult, tgt, self.p) for mu, lst in src.items()
+            }
+        return self._diff[key]
 
     def rank_d(self, i, j):
-        """Rank of d_i at (i, j); 0 outside the complex.  Streamed per
-        block without materializing the chain space."""
+        """Rank of d_i at (i, j); 0 outside the complex.  Streamed one
+        block at a time without materializing the chain space."""
         key = (i, j)
         if key in self._rank:
             return self._rank[key]
-        if i < 1 or i > len(self.acting) or j < 0 or not self.spec.dim(j):
-            self._rank[key] = 0
-            return 0
         total = 0
-        for cols in self._stream_diff_blocks(i, j):
-            total += sparse_rows_rank(cols, self.p)
+        if 1 <= i <= len(self.acting) and j >= 0 and self.spec.dim(j):
+            mult = self._mults(j)
+            for lst in self._source_buckets(i, j).values():
+                total += sparse_rows_rank(_koszul_cols(lst, mult, {}, self.p), self.p)
         self._rank[key] = total
         return total
 
+    def x0_map(self, j):
+        """Center multiplication from piece j, as a chain map."""
+        return _ChainMap(self.spec.mult(0, j), 0)
+
     def x0_induced_rank(self, i, jsrc):
         """Rank of the map induced on homology by center multiplication,
-        slot (i, jsrc) -> (i, jsrc + 1), without homology bases:
-
-            rank [[d, 0], [x0, B]] = rank d + dim( x0(ker d) + im B ),
-
-        so  rank(induced) = sum of stacked block ranks - rank d_i - rank d_{i+1},
-        where B runs over the boundary generators of the target slot.  The
-        stacked sum includes blocks only boundaries reach (their extra rank
-        cancels against the d_{i+1} correction); both corrections are the
-        memoized global differential ranks, so each matrix entry is built
-        and eliminated exactly once.
-        """
+        slot (i, jsrc) -> (i, jsrc + 1), by the stacked identity; memoised,
+        as the mapping cone asks for every slot twice."""
         key = (i, jsrc)
-        if key in self._x0rank:
-            return self._x0rank[key]
-        n = len(self.acting)
-        if i < 0 or i > n or jsrc < 0 or not self.spec.dim(jsrc):
-            self._x0rank[key] = 0
-            return 0
-        p = self.p
-        delta = self._var_weight(0)
-        ndelta = tuple(-x for x in delta)
-        buckets = self._source_buckets(i, jsrc)
-        bbuckets = self._source_buckets(i + 1, jsrc)
-        mult = {v: self.spec.mult(v, jsrc) for v in self.acting}
-        mult0 = self.spec.mult(0, jsrc)
-
-        def dcol(T, b, tid, parity):
-            col = {}
-            for k, t in enumerate(T):
-                Trest = T[:k] + T[k + 1:]
-                s = 1 if k % 2 == 0 else p - 1
-                for b2, c in mult[t][b].items():
-                    loc = 2 * tid.setdefault((Trest, b2), len(tid)) + parity
-                    v = (col.get(loc, 0) + s * c) % p
-                    if v:
-                        col[loc] = v
-                    else:
-                        col.pop(loc, None)
-            return col
-
-        keys = set(buckets)
-        keys.update(_shift_block(nu, ndelta) for nu in bbuckets)
-        total = 0
-        for mu in keys:
-            tid_a = {}
-            tid_d = {}
-            rows = []
-            for T, b in buckets.get(mu, ()):
-                stacked = dcol(T, b, tid_a, 0)
-                for b2, c in mult0[b].items():
-                    stacked[2 * tid_d.setdefault((T, b2), len(tid_d)) + 1] = c
-                rows.append(stacked)
-            for T, b in bbuckets.get(_shift_block(mu, delta), ()):
-                rows.append(dcol(T, b, tid_d, 1))
-            total += sparse_rows_rank(rows, p)
-        total -= self.rank_d(i, jsrc) + self.rank_d(i + 1, jsrc)
-        self._x0rank[key] = total
-        return total
+        if key not in self._x0rank:
+            self._x0rank[key] = _stacked_rank(
+                self, i, jsrc, self, jsrc + 1, self.x0_map(jsrc), self._var_weight(0)
+            )
+        return self._x0rank[key]
 
     def slot_dim(self, i, j):
         """dim Tor_i(M)_{i+j}."""
@@ -273,17 +231,11 @@ class _Complex:
     def cycles(self, i, j):
         """Canonical kernel bases of d_i at (i,j), per block."""
         key = (i, j)
-        if key in self._cycles:
-            return self._cycles[key]
-        out = {}
-        rank_total = 0
-        for mu, cols in self.diff(i, j).items():
-            ker = kernel_of_columns(cols, self.p)
-            out[mu] = ker
-            rank_total += len(cols) - len(ker)
-        self._cycles[key] = out
-        self._rank[key] = rank_total if i >= 1 else 0
-        return out
+        if key not in self._cycles:
+            self._cycles[key] = {
+                mu: kernel_of_columns(cols, self.p) for mu, cols in self.diff(i, j).items()
+            }
+        return self._cycles[key]
 
     def boundaries(self, i, j):
         """Echelon spans of the image of d_{i+1} inside (i, j), per block."""
@@ -477,10 +429,11 @@ def pd_depth(bt_quotient, hilbert_data):
 class TorMapReport:
     """Rank data of an induced map between Tor slots.
 
-    well_defined is None when only ranks were requested; with matrices it
-    records whether images of cycles were cycles and boundaries landed in
-    boundaries (only the subquotient x0 section can fail this, outside its
-    quadratic/smooth hypotheses).
+    well_defined is None on rank-only reports; matrix reports record
+    whether images of cycles were cycles and every block's boundaries
+    landed in boundaries.  Only the subquotient x0 section can fail this,
+    outside its quadratic/smooth hypotheses, so its reports always carry
+    matrices and the certificate.
     """
 
     map_label: str
@@ -503,16 +456,53 @@ class TorMapReport:
         return self.blocks.get(mu) if self.blocks else None
 
 
+def _stacked_rank(cx_src, i, j_src, cx_dst, j_dst, chain_map, delta):
+    """Rank of the map chain_map induces from slot (i, j_src) of cx_src to
+    slot (i, j_dst) of cx_dst, by the stacked identity of the module
+    docstring, one multiweight block at a time.
+
+    Rows d c (+) f c sit beside rows 0 (+) d b for the target boundary
+    generators b.  The d c entries live at wedge degree i-1 and the f c,
+    d b entries at wedge degree i, so one id map keeps them apart.  The
+    blocks only boundaries reach add rank d_dst there, which the
+    correction takes back off.
+    """
+    if not cx_src.chain_dim(i, j_src):
+        return 0
+    p = cx_src.p
+    cols, shift = chain_map
+    src = cx_src._source_buckets(i, j_src)
+    bnd = cx_dst._source_buckets(i + 1, j_dst - 1)
+    mult_src = cx_src._mults(j_src) if i >= 1 else None
+    mult_dst = cx_dst._mults(j_dst - 1) if bnd else None
+    ndelta = tuple(-x for x in delta)
+    keys = set(src)
+    keys.update(_shift_block(nu, ndelta) for nu in bnd)
+    total = 0
+    for mu in keys:
+        tid = {}
+        sources = src.get(mu, ())
+        rows = _koszul_cols(sources, mult_src, tid, p)
+        for row, (T, b) in zip(rows, sources):
+            T = _relabel(T, shift)
+            for b2, c in cols[b].items():
+                row[tid.setdefault((T, b2), len(tid))] = c
+        rows += _koszul_cols(bnd.get(_shift_block(mu, delta), ()), mult_dst, tid, p)
+        total += sparse_rows_rank(rows, p)
+    return total - cx_src.rank_d(i, j_src) - cx_dst.rank_d(i + 1, j_dst - 1)
+
+
 def _push_vector(vec, src_list, chain_map, tgt_pos, p):
     """Apply a chain map to a vector given in local source-block coords."""
+    cols, shift = chain_map
     out = {}
     for k, c in vec.items():
         T, b = src_list[k]
-        for (T2, b2), c2 in chain_map(T, b):
-            tp = tgt_pos.get((T2, b2))
-            if tp is None:
+        T = _relabel(T, shift)
+        for b2, c2 in cols[b].items():
+            local = tgt_pos.get((T, b2))
+            if local is None:
                 continue
-            local = tp[1]
             v = (out.get(local, 0) + c * c2) % p
             if v:
                 out[local] = v
@@ -521,52 +511,34 @@ def _push_vector(vec, src_list, chain_map, tgt_pos, p):
     return out
 
 
-def _induced_rank(cx_src, i_src, j_src, cx_dst, i_dst, j_dst, chain_map, delta):
-    """Rank of the induced map on homology via
-    rank([f(Z) | B_dst]) - rank(B_dst); no explicit homology bases needed."""
-    p = cx_src.p
-    total = 0
-    tgt_pos = cx_dst.positions(i_dst, j_dst)
-    for mu, zs in cx_src.cycles(i_src, j_src).items():
-        if not zs:
-            continue
-        kappa = _shift_block(mu, delta)
-        src_list = cx_src.blocks(i_src, j_src)[mu]
-        bech = cx_dst.boundary_ech(i_dst, j_dst, kappa)
-        base = bech.rank
-        ech = Echelon(p)
-        for row in bech.rows:
-            ech.insert(dict(row))
-        for z in zs:
-            ech.insert(_push_vector(z, src_list, chain_map, tgt_pos, p))
-        total += ech.rank - base
-    return total
-
-
-def _induced_matrix(cx_src, i_src, j_src, cx_dst, i_dst, j_dst, chain_map, delta):
+def _induced_matrix(cx_src, i, j_src, cx_dst, j_dst, chain_map, delta):
     """Matrices of the induced map w.r.t. canonical homology bases, plus
-    well-definedness verdicts (cycles to cycles, boundaries to boundaries)."""
+    well-definedness verdicts (cycles to cycles, boundaries to boundaries).
+
+    The boundary check runs over every source block: a block without
+    homology can still send boundaries outside the target boundaries."""
     p = cx_src.p
-    hom_src = cx_src.homology(i_src, j_src)
-    hom_dst = cx_dst.homology(i_dst, j_dst)
-    tgt_pos = cx_dst.positions(i_dst, j_dst)
-    diff_dst = cx_dst.diff(i_dst, j_dst)
+    src_blocks = cx_src.blocks(i, j_src)
+    hom_src = cx_src.homology(i, j_src)
+    hom_dst = cx_dst.homology(i, j_dst)
+    tgt_pos = cx_dst.positions(i, j_dst)
+    diff_dst = cx_dst.diff(i, j_dst)
     ok = True
     rank = 0
     blocks = {}
-    for mu, reps in hom_src.items():
+    for mu, src_list in src_blocks.items():
         kappa = _shift_block(mu, delta)
-        src_list = cx_src.blocks(i_src, j_src)[mu]
-        bech = cx_dst.boundary_ech(i_dst, j_dst, kappa)
+        bech = cx_dst.boundary_ech(i, j_dst, kappa)
+        for bvec in cx_src.boundary_ech(i, j_src, mu).rows:
+            if bech.reduce(_push_vector(bvec, src_list, chain_map, tgt_pos, p)):
+                ok = False
+        reps = hom_src.get(mu)
+        if not reps:
+            continue
         dst_reps = hom_dst.get(kappa, [])
         dst_ech = Echelon(p)
         for r in dst_reps:
             dst_ech.insert(dict(r))
-        # boundary well-definedness: images of source boundaries must die
-        for bvec in cx_src.boundary_ech(i_src, j_src, mu).rows:
-            img = _push_vector(bvec, src_list, chain_map, tgt_pos, p)
-            if bech.reduce(img):
-                ok = False
         mat = []
         rank_ech = Echelon(p)
         for z in reps:
@@ -598,19 +570,20 @@ def _induced_matrix(cx_src, i_src, j_src, cx_dst, i_dst, j_dst, chain_map, delta
     return rank, ok, blocks
 
 
-def _map_report(label, cx_src, i_src, j_src, cx_dst, i_dst, j_dst, chain_map, delta, with_matrix):
-    src_dim = cx_src.slot_dim(i_src, j_src)
-    dst_dim = cx_dst.slot_dim(i_dst, j_dst)
+def _map_report(label, cx_src, i, j_src, cx_dst, j_dst, chain_map, delta, with_matrix, rank=None):
+    """Report of the induced map: matrices and the certificate when
+    with_matrix is set, else the stacked rank (`rank` when the caller
+    already holds it)."""
+    src_dim = cx_src.slot_dim(i, j_src)
+    dst_dim = cx_dst.slot_dim(i, j_dst)
+    ok = blocks = None
     if with_matrix:
-        rank, ok, blocks = _induced_matrix(
-            cx_src, i_src, j_src, cx_dst, i_dst, j_dst, chain_map, delta
-        )
-    else:
-        rank = _induced_rank(cx_src, i_src, j_src, cx_dst, i_dst, j_dst, chain_map, delta)
-        ok, blocks = None, None
+        rank, ok, blocks = _induced_matrix(cx_src, i, j_src, cx_dst, j_dst, chain_map, delta)
+    elif rank is None:
+        rank = _stacked_rank(cx_src, i, j_src, cx_dst, j_dst, chain_map, delta)
     return TorMapReport(
         map_label=label,
-        i=i_src,
+        i=i,
         j_source=j_src,
         j_target=j_dst,
         source_dim=src_dim,
@@ -627,34 +600,16 @@ def tor_x0_map(spec, i, j, with_matrix=False):
     """Induced multiplication by the center variable:
     Tor_i(M)_{i+j} -> Tor_i(M)_{i+j+1} over the acting roster.
 
-    Without matrices the rank comes from the streamed block-matrix
-    identity and no homology bases are materialized."""
+    Without matrices the rank is the memoised stacked rank.  A spec whose
+    center action is a chosen section (x0_section) always gets the matrix
+    report, as only its certificate says where the rank means anything."""
     if not spec.center_mult:
         raise ValueError("%s has no center-variable action" % spec.label)
     cx = get_complex(spec)
-    if not with_matrix:
-        rank = cx.x0_induced_rank(i, j)
-        src = cx.slot_dim(i, j)
-        dst = cx.slot_dim(i, j + 1)
-        return TorMapReport(
-            map_label="x0_multiplication",
-            i=i,
-            j_source=j,
-            j_target=j + 1,
-            source_dim=src,
-            target_dim=dst,
-            rank=rank,
-            injective=(rank == src),
-            surjective=(rank == dst),
-        )
-    mcols = spec.mult(0, j)
-
-    def chain_map(T, b):
-        return [((T, b2), c) for b2, c in mcols[b].items()]
-
-    delta = spec.ring.weights[0] if cx.weights_on else ()
+    with_matrix = with_matrix or spec.x0_section
     return _map_report(
-        "x0_multiplication", cx, i, j, cx, i, j + 1, chain_map, delta, True
+        "x0_multiplication", cx, i, j, cx, j + 1, cx.x0_map(j), cx._var_weight(0),
+        with_matrix, None if with_matrix else cx.x0_induced_rank(i, j),
     )
 
 
@@ -672,20 +627,13 @@ def tor_quotient_map(ideal, i, j, with_matrix=False):
     weights_on = src_spec.use_weights() and subq_spec.use_weights()
     cx_src = get_complex(src_spec, weights_on)
     cx_dst = get_complex(subq_spec, weights_on)
-    maps = {}
-
-    def chain_map(T, b, jj=j):
-        m = maps.get(jj)
-        if m is None:
-            src_piece = src_spec.piece(jj)
-            dst_index = {u: k for k, u in enumerate(subq_spec.piece(jj))}
-            m = [dst_index.get(u) for u in src_piece]
-            maps[jj] = m
-        k = m[b]
-        return [((T, k), 1)] if k is not None else []
-
+    dst_index = {u: k for k, u in enumerate(subq_spec.piece(j))}
+    cols = []
+    for u in src_spec.piece(j):
+        k = dst_index.get(u)
+        cols.append({} if k is None else {k: 1})
     return _map_report(
-        "inclusion_phi", cx_src, i, j, cx_dst, i, j, chain_map, (), with_matrix
+        "inclusion_phi", cx_src, i, j, cx_dst, j, _ChainMap(cols, 0), (), with_matrix
     )
 
 
@@ -712,21 +660,12 @@ def tor_inclusion_map(sub_ideal, big_ideal, i, j, with_matrix=False):
     )
     cx_src = get_complex(sub_spec, weights_on)
     cx_dst = get_complex(big_spec, weights_on)
-    expansions = {}
-
-    def chain_map(T, b, jj=j):
-        cols = expansions.get(jj)
-        if cols is None:
-            cols = []
-            for w in sub_spec.piece(jj):
-                f = sub_spec.pieces.basis_poly(jj, w).lift_front(big_spec.ring)
-                cols.append(big_spec.pieces.expand(f, jj))
-            expansions[jj] = cols
-        T2 = tuple(t + 1 for t in T)
-        return [((T2, b2), c) for b2, c in cols[b].items()]
-
+    cols = [
+        big_spec.pieces.expand(sub_spec.pieces.basis_poly(j, w).lift_front(big_spec.ring), j)
+        for w in sub_spec.piece(j)
+    ]
     return _map_report(
-        "embedded_f", cx_src, i, j, cx_dst, i, j, chain_map, (), with_matrix
+        "embedded_f", cx_src, i, j, cx_dst, j, _ChainMap(cols, 1), (), with_matrix
     )
 
 

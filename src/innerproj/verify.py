@@ -19,6 +19,7 @@ from math import comb
 from .docs import document, parse_json, parse_text
 from .fixtures import plucker24, rnc, segre, two_planes_p4, veronese
 from .geometry import (
+    _e0,
     apply_change_to_ideal,
     classify,
     ideal_table,
@@ -30,9 +31,9 @@ from .geometry import (
     successive_project,
 )
 from .groebner import Ideal, eliminate, ideal_equal, s_polynomial
-from .hilbert import hilbert
+from .hilbert import hilbert, standard_monomial_count
 from .modspec import ideal_spec, quotient_spec, subquotient_spec
-from .monomial import GrevLex, monomials_of_degree
+from .monomial import GrevLex
 from .parser import parse_polynomial
 from .pei import dimension_identity, stabilization
 from .poly import LinearChange, PolyRing, poly_str
@@ -105,10 +106,6 @@ class Tally:
     def skip(self, reason):
         self.skipped = True
         self.details.append("SKIP %s" % reason)
-
-
-def _e0(n):
-    return (1,) + (0,) * (n - 1)
 
 
 # -- individual checks ------------------------------------------------------
@@ -395,17 +392,6 @@ def _random_doc(rng):
     )
 
 
-def _standard_monomial_count(ideal, d):
-    """Brute-force dimension of the degree-d quotient piece: count the
-    monomials outside the leading-term staircase."""
-    lts = ideal.groebner(GrevLex()).leading_exponents()
-    count = 0
-    for ev in monomials_of_degree(ideal.ring.nvars, d):
-        if not any(all(x >= y for x, y in zip(ev, lt)) for lt in lts):
-            count += 1
-    return count
-
-
 def _check_property_suite(t):
     """Cross-cutting soundness: S-pair reduction, normal-form idempotence,
     brute-force Hilbert agreement, Betti invariance under random changes
@@ -437,10 +423,12 @@ def _check_property_suite(t):
                 drifts += 1
         t.eq("%s: normal forms drifting on reapplication" % label, drifts, 0)
         hd = hilbert(ideal)
+        lead = gb.leading_exponents()
         mismatch = tuple(
             d
             for d in range(7)
-            if hd.hilbert_function(d) != _standard_monomial_count(ideal, d)
+            if hd.hilbert_function(d)
+            != standard_monomial_count(lead, ideal.ring.nvars, d)
         )
         t.eq("%s: Hilbert-function mismatches (degree <= 6)" % label, mismatch, ())
     # Dense post-change bases make wide Grassmannian windows expensive, so

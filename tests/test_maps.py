@@ -2,9 +2,12 @@
 stability flags of the center multiplication, naturality of the projection
 square, and embedding validation."""
 
+import random
+
 import pytest
 
 from innerproj.fixtures import rnc
+from innerproj.geometry import apply_change_to_ideal
 from innerproj.groebner import Ideal, eliminate
 from innerproj.modspec import (
     ideal_spec,
@@ -14,7 +17,8 @@ from innerproj.modspec import (
 )
 from innerproj.parser import parse_polynomial
 from innerproj.poly import PolyRing
-from innerproj.tor import tor_inclusion_map, tor_quotient_map, tor_x0_map
+from innerproj.tor import get_complex, tor_inclusion_map, tor_quotient_map, tor_x0_map
+from innerproj.verify import _random_change
 
 
 # -- streamed rank vs. explicit matrices -------------------------------------
@@ -22,18 +26,60 @@ from innerproj.tor import tor_inclusion_map, tor_quotient_map, tor_x0_map
 def test_streamed_rank_agrees_with_homology_matrices(
     rnc3_ideal, rnc4_ideal, two_planes_ideal
 ):
-    for ideal in (rnc3_ideal, rnc4_ideal, two_planes_ideal):
-        for family in (ideal_spec, quotient_spec):
-            spec = family(ideal, over="tail")
+    # random coordinates drop the torus weights: one block per slot
+    change = _random_change(rnc3_ideal.ring, random.Random(7))
+    moved = apply_change_to_ideal(rnc3_ideal, change)
+    assert not ideal_spec(moved, over="tail").use_weights()
+    checked = 0
+    for ideal in (rnc3_ideal, rnc4_ideal, two_planes_ideal, moved):
+        sub = eliminate(ideal)
+        maps = [
+            lambda i, j, m, s=family(ideal, over="tail"): tor_x0_map(s, i, j, with_matrix=m)
+            for family in (ideal_spec, quotient_spec)
+        ]
+        maps.append(lambda i, j, m: tor_quotient_map(ideal, i, j, with_matrix=m))
+        maps.append(lambda i, j, m: tor_inclusion_map(sub, ideal, i, j, with_matrix=m))
+        for report in maps:
             for i in range(3):
                 for j in range(4):
-                    lean = tor_x0_map(spec, i, j)
-                    full = tor_x0_map(spec, i, j, with_matrix=True)
-                    assert lean.rank == full.rank
+                    lean = report(i, j, False)
+                    full = report(i, j, True)
+                    assert lean.rank == full.rank, (i, j, full.map_label)
                     assert lean.source_dim == full.source_dim
                     assert lean.target_dim == full.target_dim
                     assert full.well_defined is True
                     assert lean.well_defined is None
+                    checked += 1
+        # the center section on the subquotient: compare where it certifies
+        subq = subquotient_spec(ideal)
+        for i in range(3):
+            for j in range(4):
+                full = tor_x0_map(subq, i, j, with_matrix=True)
+                if full.well_defined:
+                    assert get_complex(subq).x0_induced_rank(i, j) == full.rank
+                    checked += 1
+    assert checked > 4 * 4 * 12
+
+
+def test_section_reports_are_always_certified(rnc3_ideal, rnc4_ideal):
+    # boundaries of blocks without homology count too: these slots send a
+    # source boundary outside the target boundaries
+    failing = {
+        "rnc3": {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)},
+        "rnc4": {(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)},
+    }
+    for name, ideal in (("rnc3", rnc3_ideal), ("rnc4", rnc4_ideal)):
+        spec = subquotient_spec(ideal)
+        got = set()
+        for i in range(4):
+            for j in range(5):
+                rep = tor_x0_map(spec, i, j)
+                assert rep.well_defined is not None
+                assert rep.blocks is not None
+                assert rep.rank <= rep.source_dim
+                if not rep.well_defined:
+                    got.add((i, j))
+        assert got == failing[name]
 
 
 def test_report_flags_are_consistent(rnc4_ideal):

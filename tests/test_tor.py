@@ -12,6 +12,7 @@ from innerproj.groebner import Ideal
 from innerproj.hilbert import hilbert
 from innerproj.linalg import rank_of_columns, sparse_rows_rank
 from innerproj.modspec import (
+    filtration_step_spec,
     ideal_spec,
     quotient_spec,
     residue_field_spec,
@@ -110,6 +111,19 @@ def test_euler_characteristic_by_degree(rnc3_ideal, rnc4_ideal, two_planes_ideal
     )
     for spec in specs:
         assert euler_mismatch(spec, 6) == []
+
+
+def test_filtration_step_past_the_window_is_the_subquotient(
+    rnc3_ideal, rnc4_ideal, two_planes_ideal
+):
+    # slots with j <= 5 read pieces of degree <= 6, where every
+    # front-divisible basis monomial has front degree <= 6
+    for ideal in (rnc3_ideal, rnc4_ideal, two_planes_ideal):
+        whole = betti_window(subquotient_spec(ideal), i_max=3, j_max=5)
+        step6 = betti_window(filtration_step_spec(ideal, 6), i_max=3, j_max=5)
+        step1 = betti_window(filtration_step_spec(ideal, 1), i_max=3, j_max=5)
+        assert step6.entries == whole.entries
+        assert step1.entries != whole.entries
 
 
 def test_slot_dim_outside_the_range_is_zero(rnc3_ideal):
