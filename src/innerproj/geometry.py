@@ -2,9 +2,9 @@
 moves, inner projection and projection chains, numeric classification, and
 the closed-form bounds that the reports are judged against.
 
-Conventions: points are projective coordinate tuples over GF(p); the
-projection center is always moved to e0 = (1:0:...:0) first, and the inner
-projection itself is elimination of the front variable.
+Conventions: points are projective coordinate tuples over GF(p); the inner
+projection is elimination of the front variable after the center is moved
+to e0 = (1:0:...:0).
 """
 
 from dataclasses import dataclass
@@ -16,8 +16,14 @@ from .hilbert import hilbert
 from .linalg import Echelon
 from .monomial import GrevLex, total_degree
 from .poly import LinearChange, substitute_linear
-from .modspec import ideal_spec, quotient_spec
-from .tor import betti_window, check_n2p, pd_depth, get_complex
+from .modspec import quotient_spec
+from .tor import (
+    betti_window,
+    check_n2p,
+    get_complex,
+    ideal_table_from_quotient,
+    pd_depth,
+)
 
 
 # -- points ----------------------------------------------------------------
@@ -158,25 +164,16 @@ def quotient_table(ideal):
     )
 
 
-def ideal_table(ideal, i_max=None):
-    """Untruncated Betti table of I over the full ring (same widening)."""
-    spec = ideal_spec(ideal, over="full")
-    if i_max is None:
-        i_max = len(spec.acting)
-    j_max = ideal.max_gen_degree() + 1
-    for _ in range(_MAX_WIDEN + 1):
-        bt = betti_window(spec, i_max, j_max)
-        if not bt.truncation_flag:
-            return bt
-        j_max += 1
-    raise ValueError(
-        "ideal table still truncated at j_max=%d; raise the widening cap" % j_max
-    )
+def ideal_table(ideal):
+    """Untruncated Betti table of I over the full ring, read off
+    quotient_table(ideal) by the index shift (no Koszul work of its own)."""
+    return ideal_table_from_quotient(quotient_table(ideal))
 
 
 def beta02(ideal):
-    """dim Tor_0(I)_2: the number of independent quadric generators."""
-    return get_complex(ideal_spec(ideal, over="full")).slot_dim(0, 2)
+    """dim Tor_0(I)_2 = dim Tor_1(R/I)_2: the number of independent quadric
+    generators, read from the quotient complex that the tables share."""
+    return get_complex(quotient_spec(ideal, over="full")).slot_dim(1, 1)
 
 
 def quadric_span_dim(gens):
@@ -256,8 +253,15 @@ def _is_degenerate(ideal):
 
 
 def inner_project(pi):
-    """Project from the marked point of the variety: move it to e0, then
-    eliminate the front variable.  Returns (image ideal, report).
+    """Project from the marked point of the variety: eliminate the front
+    variable after moving the point to e0.  Returns (image ideal, report).
+
+    The "before" invariants (tangent space, Hilbert series, Betti tables)
+    are taken on the input ideal at the center, in the input's coordinates:
+    none of them changes under a linear change of coordinates, and the
+    input keeps its torus weights, which a move away from e0 drops.  The
+    move to e0 feeds only the elimination.  Each side runs one Koszul
+    table, that of the quotient; the ideal table is read off it.
 
     A point off the variety is an outer projection; that path is plain
     eliminate() and this function refuses it explicitly.
@@ -267,18 +271,17 @@ def inner_project(pi):
             "center is not on the variety: that is an outer projection; "
             "use eliminate() directly for those"
         )
-    center = normalize_point(pi.point, pi.ideal.ring.char)
-    pi = move_point(pi)
     ideal = pi.ideal
-    tan = tangent_at(ideal, pi.point)
-    image = eliminate(ideal)
+    center = normalize_point(pi.point, ideal.ring.char)
+    tan = tangent_at(ideal, center)
+    image = eliminate(move_point(pi).ideal)
 
     hd_b = hilbert(ideal)
     hd_a = hilbert(image)
-    bt_ib = ideal_table(ideal)
-    bt_ia = ideal_table(image)
     qt_b = quotient_table(ideal)
     qt_a = quotient_table(image)
+    bt_ib = ideal_table_from_quotient(qt_b)
+    bt_ia = ideal_table_from_quotient(qt_a)
     dr_b = pd_depth(qt_b, hd_b)
     dr_a = pd_depth(qt_a, hd_a)
     b02_b = bt_ib.entry(0, 2)
@@ -347,6 +350,12 @@ def successive_project(pi, k, points="auto", strict=True):
     reports = []
     images = []
     warnings = []
+
+    def flag(msg):
+        if strict:
+            raise ValueError(msg)
+        warnings.append(msg)
+
     current = pi
     for step in range(k):
         ideal = current.ideal
@@ -361,27 +370,15 @@ def successive_project(pi, k, points="auto", strict=True):
             raise ValueError("step %d: center off the variety" % step)
         image, rep = inner_project(current)
         if not rep.smooth:
-            msg = "step %d: center is singular (tangent %d > codim %d)" % (
+            flag("step %d: center is singular (tangent %d > codim %d)" % (
                 step, rep.tangent_dim, rep.codim_before
-            )
-            if strict:
-                raise ValueError(msg)
-            warnings.append(msg)
+            ))
         if not rep.quadric_identity_ok:
-            msg = "step %d: quadric-count identity failed" % step
-            if strict:
-                raise ValueError(msg)
-            warnings.append(msg)
+            flag("step %d: quadric-count identity failed" % step)
         if rep.smooth and not rep.delta_preserved:
-            msg = "step %d: delta changed under a smooth projection" % step
-            if strict:
-                raise ValueError(msg)
-            warnings.append(msg)
+            flag("step %d: delta changed under a smooth projection" % step)
         if rep.n2p_before >= 1 and rep.n2p_after < rep.n2p_before - 1:
-            msg = "step %d: syzygy level dropped by more than one" % step
-            if strict:
-                raise ValueError(msg)
-            warnings.append(msg)
+            flag("step %d: syzygy level dropped by more than one" % step)
         reports.append(rep)
         images.append(image)
         if image.ring.nvars >= 1:
@@ -416,10 +413,9 @@ def classify(ideal):
     delta 1 -> MinimalDegree; delta 2 and arithmetically Cohen-Macaulay ->
     NextToMinimal_DelPezzoClass (with the expected quadric strand row
     cross-checked); anything else -> Other."""
-    gb = ideal.groebner(GrevLex())
     if ideal.is_zero():
         raise ValueError("zero ideal has no classification")
-    if any(total_degree(e) <= 1 for e in gb.leading_exponents()):
+    if _is_degenerate(ideal):
         raise ValueError(
             "degenerate input (linear forms present); reduce the ambient space first"
         )
@@ -427,7 +423,7 @@ def classify(ideal):
     e = hd.codim
     qt = quotient_table(ideal)
     dr = pd_depth(qt, hd)
-    bt = ideal_table(ideal)
+    bt = ideal_table_from_quotient(qt)
     n2p = check_n2p(bt, cap=e)
     expected_row = None
     row_matches = None

@@ -369,10 +369,33 @@ def betti_window(spec, i_max=None, j_max=None):
     )
 
 
-def quotient_to_ideal_entry(bt_quotient, i, j):
-    """Index shift relating the quotient table to the ideal table:
-    beta_{i,j}(R/I) = beta_{i-1,j+1}(I) for i >= 1."""
-    return bt_quotient.entry(i + 1, j - 1)
+def ideal_table_from_quotient(bt_quotient):
+    """Betti table of I read off the table of R/I, both over the full ring
+    with the whole roster (as geometry.quotient_table gives it).
+
+    R is free over itself, so the exact sequence 0 -> I -> R -> R/I -> 0
+    gives
+        beta_{i,j}(I) = beta_{i+1,j-1}(R/I)   for i >= 0,
+    plus the term beta_{0,0}(I) = 1 - beta_{0,0}(R/I), which is 1 only for
+    the unit ideal (R/I = 0, I = R).  The window is shifted one row down,
+    and the truncation flag carries over: the ideal table's last row is the
+    quotient table's last row shifted.
+    """
+    entries = {
+        (i, j): bt_quotient.entry(i + 1, j - 1)
+        for i in range(bt_quotient.i_max + 1)
+        for j in range(bt_quotient.j_max + 2)
+    }
+    entries[(0, 0)] = 1 - bt_quotient.entry(0, 0)
+    return BettiTable(
+        label=bt_quotient.label.replace("quotient", "ideal", 1),
+        acting_names=bt_quotient.acting_names,
+        i_max=bt_quotient.i_max,
+        j_max=bt_quotient.j_max + 1,
+        entries=entries,
+        truncation_flag=bt_quotient.truncation_flag,
+        finitely_generated=bt_quotient.finitely_generated,
+    )
 
 
 # -- derived numerics -------------------------------------------------------

@@ -1,6 +1,8 @@
 """Pointed varieties and inner projections: tangent computations, coordinate
 moves, the projection report identities, chains, and classification."""
 
+from dataclasses import replace
+
 import pytest
 
 from innerproj.fixtures import rnc, two_planes_p4
@@ -149,6 +151,9 @@ def test_projection_from_a_generic_curve_point(rnc4_ideal):
     assert rep.quadric_identity_ok
     assert rep.depth_identity_ok is True
     assert not rep.degenerate_image
+    # every invariant is coordinate-free: only the center differs from e0's
+    _, rep_e0 = inner_project(pointed(rnc4_ideal, (1, 0, 0, 0, 0)))
+    assert replace(rep, center=None) == replace(rep_e0, center=None)
 
 
 def test_projection_of_a_conic_degenerates():

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from innerproj.fixtures import rnc
+from innerproj.geometry import apply_change_to_ideal
 from innerproj.groebner import Ideal
 from innerproj.hilbert import hilbert
 from innerproj.linalg import rank_of_columns, sparse_rows_rank
@@ -24,10 +25,11 @@ from innerproj.tor import (
     betti_window,
     check_n2p,
     get_complex,
+    ideal_table_from_quotient,
     mapping_cone_identity,
     pd_depth,
-    quotient_to_ideal_entry,
 )
+from innerproj.verify import _random_change
 
 
 def make_ideal(varnames, gens):
@@ -76,13 +78,27 @@ def test_two_planes_quotient_table(two_planes_ideal):
 def test_quotient_and_ideal_tables_differ_by_the_index_shift(
     rnc3_ideal, rnc4_ideal, two_planes_ideal
 ):
-    for ideal in (rnc3_ideal, rnc4_ideal, two_planes_ideal):
-        btq = betti_window(quotient_spec(ideal), i_max=5, j_max=4)
-        bti = betti_window(ideal_spec(ideal), i_max=4, j_max=5)
-        assert btq.entry(0, 0) == 1
-        for i in range(5):
-            for j in range(5):
-                assert bti.entry(i, j) == quotient_to_ideal_entry(btq, i, j)
+    unit = make_ideal(("x", "y", "z"), ["1"])
+    zero = make_ideal(("x", "y", "z"), [])
+    # random coordinates drop the torus weights: one block per slot
+    moved = apply_change_to_ideal(
+        rnc3_ideal, _random_change(rnc3_ideal.ring, random.Random(7))
+    )
+    cases = (
+        (rnc3_ideal, None),
+        (rnc4_ideal, None),
+        (two_planes_ideal, None),
+        (unit, {(0, 0): 1}),
+        (zero, {}),
+        (moved, None),
+    )
+    for ideal, expected in cases:
+        shifted = ideal_table_from_quotient(betti_window(quotient_spec(ideal), j_max=4))
+        direct = betti_window(ideal_spec(ideal), j_max=5)
+        assert shifted == direct  # label, window and flags
+        assert shifted.nonzero() == direct.nonzero()
+        if expected is not None:
+            assert direct.nonzero() == expected
 
 
 # -- chain-level consistency -------------------------------------------------
