@@ -29,6 +29,7 @@ from .verify import (
     report_json,
     report_text,
     run_checks,
+    suite_failed,
 )
 
 
@@ -260,11 +261,9 @@ def cmd_verify(args):
         return 0
     results = run_checks(args.checks or None, segre_budget=args.budget)
     sys.stdout.write(report_json(results) if args.json else report_text(results))
-    if any(r.status == "fail" for r in results):
+    if suite_failed(results):
         return 1
-    if any(r.status == "skip" for r in results):
-        return 3
-    return 0
+    return 3 if any(r.status == "skip" for r in results) else 0
 
 
 # -- parser -----------------------------------------------------------------

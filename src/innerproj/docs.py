@@ -62,9 +62,6 @@ class IdealDocument:
                 return coords
         raise KeyError("no point labeled %r" % label)
 
-    def meta_dict(self):
-        return dict(self.meta)
-
     # -- text form ---------------------------------------------------------
     def to_text(self):
         lines = ["char %d" % self.char, "vars %s" % " ".join(self.varnames)]

@@ -123,17 +123,6 @@ def apply_change_to_ideal(ideal, change):
     return Ideal(ring2, [substitute_linear(g, change) for g in ideal.gens])
 
 
-def push_point(change, point):
-    """Image of a point under the change of coordinates: substitution
-    composes with the matrix, so solutions move by the inverse matrix."""
-    p = change.ring.char
-    inv = change.inverse().matrix
-    n = change.ring.nvars
-    return normalize_point(
-        tuple(sum(inv[j][i] * point[i] for i in range(n)) % p for j in range(n)), p
-    )
-
-
 def move_point(pi):
     """Rewrite coordinates so the marked point becomes e0; generators of
     the returned ideal vanish at e0.  No-op when already moved."""

@@ -95,9 +95,6 @@ class Echelon:
     def reduce(self, vec):
         return self.reduce_track(vec)[0]
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def insert(self, vec, label=None):
         """Add vec to the span.
 
@@ -136,13 +133,6 @@ class Echelon:
         """Rows sorted by pivot column: the canonical reduced basis."""
         order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of_row[i])
         return [self.rows[i] for i in order]
-
-
-def rank_of_columns(cols, p):
-    ech = Echelon(p)
-    for v in cols:
-        ech.insert(v)
-    return ech.rank
 
 
 def kernel_of_columns(cols, p):

@@ -16,17 +16,16 @@ expressing any element of I_d in the basis is leading-term stripping.
 """
 
 from .monomial import Block, GrevLex, mono_divides, monomials_of_degree
-from .groebner import Ideal
 
 
 class _IdealPieces:
     """Shared per-ideal cache of leading-term monomials, triangular basis
     polynomials and expansion helpers."""
 
-    def __init__(self, ideal, front_split):
+    def __init__(self, ideal):
         self.ideal = ideal
         self.ring = ideal.ring
-        self.order = Block(front=1) if front_split and ideal.ring.nvars > 1 else GrevLex()
+        self.order = Block(front=1) if ideal.ring.nvars > 1 else GrevLex()
         self.gb = ideal.groebner(self.order)
         self._min_lt = None
         self._lt = {}
@@ -103,21 +102,25 @@ class _IdealPieces:
 
 
 class GradedModuleSpec:
-    """Degreewise basis + multiplication presentation of a graded module.
+    """Degreewise basis + multiplication presentation of a graded module
+    built from one ideal, with the ideal's shared pieces.
 
     acting: indices of the variables the homology engine may wedge over.
-    center_mult: whether multiplication by ring variable 0, playing the
-    role of the projection center, is available beyond the acting roster
-    (as a module map, or as the canonical section when x0_section is set).
-    Subclasses present modules built from an ideal, held as self.ideal.
+    Multiplication by ring variable 0, the projection center, is always
+    available besides the acting roster: as a module map, or as the
+    canonical section when x0_section is set.  finitely_generated is
+    0 in acting: every module here is finitely generated over the full
+    ring, and over the subring missing the center it is in general not,
+    so there the flag is False and every Betti window counts as truncated.
     """
 
-    def __init__(self, label, ring, acting, finitely_generated, center_mult, x0_section=False):
+    def __init__(self, label, ideal, acting, x0_section=False):
         self.label = label
-        self.ring = ring
+        self.ideal = ideal
+        self.ring = ideal.ring
+        self.pieces = _cached(ideal, ("pieces",), lambda: _IdealPieces(ideal))
         self.acting = tuple(acting)
-        self.finitely_generated = finitely_generated
-        self.center_mult = center_mult
+        self.finitely_generated = 0 in self.acting
         self.x0_section = x0_section
         self._piece = {}
         self._mult = {}
@@ -145,7 +148,7 @@ class GradedModuleSpec:
     def mult(self, v, d):
         """Columns of multiplication by variable v from piece(d) to
         piece(d+1); one sparse dict per source basis vector."""
-        if v not in self.acting and not (v == 0 and self.center_mult):
+        if v not in self.acting and v != 0:
             raise ValueError("%s: variable %d outside the acting roster" % (self.label, v))
         key = (v, d)
         if key not in self._mult:
@@ -172,17 +175,6 @@ class _IdealModuleSpec(GradedModuleSpec):
     """An ideal I of R as a graded module, over R itself or over the
     subring on the acting variables."""
 
-    def __init__(self, ideal, acting, label, front_split=True):
-        super().__init__(
-            label,
-            ideal.ring,
-            acting,
-            finitely_generated=(0 in acting),
-            center_mult=True,
-        )
-        self.ideal = ideal
-        self.pieces = _shared_pieces(ideal, front_split)
-
     def _compute_piece(self, d):
         return self.pieces.lt_monomials(d)
 
@@ -196,17 +188,6 @@ class _IdealModuleSpec(GradedModuleSpec):
 
 class _QuotientRingSpec(GradedModuleSpec):
     """R/I with standard-monomial bases; multiplication is normal form."""
-
-    def __init__(self, ideal, acting, label):
-        super().__init__(
-            label,
-            ideal.ring,
-            acting,
-            finitely_generated=(0 in acting),
-            center_mult=True,
-        )
-        self.ideal = ideal
-        self.pieces = _shared_pieces(ideal, True)
 
     def _compute_piece(self, d):
         if d < 0:
@@ -246,18 +227,8 @@ class _FiltrationStepSpec(GradedModuleSpec):
     """
 
     def __init__(self, ideal, step, label):
-        acting = tuple(range(1, ideal.ring.nvars))
-        super().__init__(
-            label,
-            ideal.ring,
-            acting,
-            finitely_generated=False,
-            center_mult=True,
-            x0_section=True,
-        )
-        self.ideal = ideal
+        super().__init__(label, ideal, range(1, ideal.ring.nvars), x0_section=True)
         self.step = step
-        self.pieces = _shared_pieces(ideal, True)
 
     def _in_window(self, u):
         return u[0] >= 1 and (self.step is None or u[0] <= self.step)
@@ -291,68 +262,34 @@ class _FiltrationStepSpec(GradedModuleSpec):
         return cols
 
 
-class _ShiftedIdealSpec(GradedModuleSpec):
-    """An ideal of the small ring with degrees shifted up by `shift`
-    (piece(d) is the degree d-shift piece)."""
-
-    def __init__(self, ideal, shift, label):
-        super().__init__(
-            label,
-            ideal.ring,
-            tuple(range(ideal.ring.nvars)),
-            finitely_generated=True,
-            center_mult=False,
-        )
-        self.ideal = ideal
-        self.shift = shift
-        self.pieces = _shared_pieces(ideal, False)
-
-    def _compute_piece(self, d):
-        return self.pieces.lt_monomials(d - self.shift)
-
-    def _compute_mult(self, v, d):
-        xs = self.ring.var(v)
-        dd = d - self.shift
-        cols = []
-        for u in self.piece(d):
-            cols.append(self.pieces.expand(xs * self.pieces.basis_poly(dd, u), dd + 1))
-        return cols
-
-
 def _cached(ideal, key, builder):
-    """Specs are cached on the ideal so repeated requests share piece and
-    homology caches (one source of truth per slot)."""
+    """Specs, and the one _IdealPieces they share, are cached on the ideal
+    so repeated requests share piece and homology caches (one source of
+    truth per slot)."""
     cache = ideal.__dict__.setdefault("_specs", {})
     if key not in cache:
         cache[key] = builder()
     return cache[key]
 
 
-def _shared_pieces(ideal, front_split):
-    cache = ideal.__dict__.setdefault("_pieces_cache", {})
-    if front_split not in cache:
-        cache[front_split] = _IdealPieces(ideal, front_split=front_split)
-    return cache[front_split]
-
-
 def ideal_spec(ideal, over="full", label=None):
     """I as a module over the full ring ('full') or over the subring on
     the non-front variables ('tail')."""
-    acting = tuple(range(ideal.ring.nvars)) if over == "full" else tuple(range(1, ideal.ring.nvars))
+    acting = range(0 if over == "full" else 1, ideal.ring.nvars)
     return _cached(
         ideal,
         ("ideal", over),
-        lambda: _IdealModuleSpec(ideal, acting, label or "ideal/%s" % over),
+        lambda: _IdealModuleSpec(label or "ideal/%s" % over, ideal, acting),
     )
 
 
 def quotient_spec(ideal, over="full", label=None):
     """R/I as a module over the full ring or the non-front subring."""
-    acting = tuple(range(ideal.ring.nvars)) if over == "full" else tuple(range(1, ideal.ring.nvars))
+    acting = range(0 if over == "full" else 1, ideal.ring.nvars)
     return _cached(
         ideal,
         ("quotient", over),
-        lambda: _QuotientRingSpec(ideal, acting, label or "quotient/%s" % over),
+        lambda: _QuotientRingSpec(label or "quotient/%s" % over, ideal, acting),
     )
 
 
@@ -376,12 +313,3 @@ def filtration_step_spec(ideal, step, label=None):
         lambda: _FiltrationStepSpec(ideal, step, label or "filtration<=%d" % step),
     )
 
-
-def shifted_ideal_spec(small_ideal, shift, label=None):
-    return _ShiftedIdealSpec(small_ideal, shift, label or "shifted(-%d)" % shift)
-
-
-def residue_field_spec(ring):
-    """k = R/(all variables): one basis vector in degree zero."""
-    maximal = Ideal(ring, ring.gens())
-    return _QuotientRingSpec(maximal, tuple(range(ring.nvars)), "residue-field")

@@ -1,15 +1,13 @@
 """Exponent vectors and monomial orders.
 
 A monomial is a dense tuple of non-negative ints, one entry per ring
-variable.  Orders expose a sort key (larger key = larger monomial) so that
-comparisons, sorting and leading-term extraction all share one code path.
-Keys are componentwise additive in the exponent vector, which is exactly
-the multiplicativity law m1 > m2  =>  m*m1 > m*m2.
+variable.  An order is its sort key (larger key = larger monomial), so
+sorting and leading-term extraction share one code path.  Keys are
+componentwise additive in the exponent vector, which is exactly the
+multiplicativity law m1 > m2  =>  m*m1 > m*m2.
 """
 
 from itertools import combinations
-
-GT, EQ, LT = "GT", "EQ", "LT"
 
 
 def total_degree(ev):
@@ -67,18 +65,8 @@ class GrevLex:
     wins.
     """
 
-    name = "grevlex"
-
     def key(self, ev):
         return (sum(ev), tuple(-e for e in reversed(ev)))
-
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        if ka > kb:
-            return 1
-        if ka < kb:
-            return -1
-        return 0
 
     def __repr__(self):
         return "GrevLex()"
@@ -90,31 +78,6 @@ class GrevLex:
         return hash("grevlex")
 
 
-class Lex:
-    """Pure lexicographic order with the first variable largest."""
-
-    name = "lex"
-
-    def key(self, ev):
-        return tuple(ev)
-
-    def compare(self, a, b):
-        if a > b:
-            return 1
-        if a < b:
-            return -1
-        return 0
-
-    def __repr__(self):
-        return "Lex()"
-
-    def __eq__(self, other):
-        return type(other) is Lex
-
-    def __hash__(self):
-        return hash("lex")
-
-
 class Block:
     """Elimination order: compare the first `front` variables by grevlex,
     break ties with `inner` on the remaining variables.
@@ -123,8 +86,6 @@ class Block:
     them, which is what makes the x0-free part of a Groebner basis generate
     the elimination ideal.
     """
-
-    name = "block"
 
     def __init__(self, front=1, inner=None):
         if front < 1:
@@ -135,14 +96,6 @@ class Block:
     def key(self, ev):
         head, tail = ev[: self.front], ev[self.front:]
         return (sum(head), tuple(-e for e in reversed(head)), self.inner.key(tail))
-
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        if ka > kb:
-            return 1
-        if ka < kb:
-            return -1
-        return 0
 
     def __repr__(self):
         return "Block(front=%d, inner=%r)" % (self.front, self.inner)
@@ -157,10 +110,3 @@ class Block:
     def __hash__(self):
         return hash(("block", self.front, self.inner))
 
-
-def compare_monomials(order, a, b):
-    """Three-way comparison returning one of the tokens GT, EQ, LT."""
-    if len(a) != len(b):
-        raise ValueError("exponent vectors of unequal length: %r vs %r" % (a, b))
-    c = order.compare(a, b)
-    return GT if c > 0 else (LT if c < 0 else EQ)

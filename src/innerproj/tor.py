@@ -315,10 +315,6 @@ class BettiTable:
         cols = [i for (i, j), v in self.entries.items() if v]
         return max(cols) if cols else -1
 
-    def rows_used(self):
-        rows = [j for (i, j), v in self.entries.items() if v]
-        return (min(rows), max(rows)) if rows else (0, 0)
-
     def format(self):
         """Rows indexed by j, columns by i, '-' for zero entries."""
         lines = []
@@ -346,8 +342,7 @@ def betti_window(spec, i_max=None, j_max=None):
     if i_max is None:
         i_max = len(spec.acting)
     if j_max is None:
-        pieces = getattr(spec, "pieces", None)
-        j_max = (pieces.ideal.max_gen_degree() + 4) if pieces else 4
+        j_max = spec.ideal.max_gen_degree() + 4
     cx = get_complex(spec)
     entries = {}
     for i in range(i_max + 1):
@@ -474,9 +469,6 @@ class TorMapReport:
     @property
     def isomorphism(self):
         return self.injective and self.surjective
-
-    def matrix_of(self, mu):
-        return self.blocks.get(mu) if self.blocks else None
 
 
 def _stacked_rank(cx_src, i, j_src, cx_dst, j_dst, chain_map, delta):
@@ -626,8 +618,6 @@ def tor_x0_map(spec, i, j, with_matrix=False):
     Without matrices the rank is the memoised stacked rank.  A spec whose
     center action is a chosen section (x0_section) always gets the matrix
     report, as only its certificate says where the rank means anything."""
-    if not spec.center_mult:
-        raise ValueError("%s has no center-variable action" % spec.label)
     cx = get_complex(spec)
     with_matrix = with_matrix or spec.x0_section
     return _map_report(

@@ -557,36 +557,32 @@ def suite_failed(results):
     return any(r.status == "fail" for r in results)
 
 
+def _summary(results):
+    """Check count and the tally of each status."""
+    summary = {"total": len(results), "pass": 0, "fail": 0, "skip": 0}
+    for r in results:
+        summary[r.status] += 1
+    return summary
+
+
 def report_text(results):
     lines = []
     for r in results:
         lines.append("[%s] %s" % (r.status.upper(), r.name))
         for d in r.details:
             lines.append("    " + d)
-    counts = {"pass": 0, "fail": 0, "skip": 0}
-    for r in results:
-        counts[r.status] += 1
     lines.append(
-        "%d checks: %d pass, %d fail, %d skip"
-        % (len(results), counts["pass"], counts["fail"], counts["skip"])
+        "%(total)d checks: %(pass)d pass, %(fail)d fail, %(skip)d skip" % _summary(results)
     )
     return "\n".join(lines) + "\n"
 
 
 def report_json(results):
-    counts = {"pass": 0, "fail": 0, "skip": 0}
-    for r in results:
-        counts[r.status] += 1
     payload = {
         "checks": [
             {"name": r.name, "status": r.status, "details": list(r.details)}
             for r in results
         ],
-        "summary": {
-            "total": len(results),
-            "pass": counts["pass"],
-            "fail": counts["fail"],
-            "skip": counts["skip"],
-        },
+        "summary": _summary(results),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

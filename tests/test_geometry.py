@@ -20,7 +20,6 @@ from innerproj.geometry import (
     normalize_point,
     on_variety,
     pointed,
-    push_point,
     quadric_span_dim,
     successive_project,
     tangent_at,
@@ -96,15 +95,6 @@ def test_move_point_sends_the_mark_to_the_first_unit_vector(rnc3_ideal):
     from innerproj.hilbert import hilbert
 
     assert hilbert(moved.ideal).degree == hilbert(rnc3_ideal).degree
-
-
-def test_push_point_tracks_solutions(rnc4_ideal):
-    q = (1, 1, 1, 1, 1)
-    change = move_change(rnc4_ideal.ring, q)
-    moved = apply_change_to_ideal(rnc4_ideal, change)
-    assert push_point(change, q) == (1, 0, 0, 0, 0)
-    other = (1, 2, 4, 8, 16)
-    assert on_variety(moved, push_point(change, other))
 
 
 def test_move_change_is_identity_at_the_unit_point(rnc4_ideal):

@@ -12,7 +12,6 @@ from innerproj.groebner import Ideal, eliminate
 from innerproj.modspec import (
     ideal_spec,
     quotient_spec,
-    shifted_ideal_spec,
     subquotient_spec,
 )
 from innerproj.parser import parse_polynomial
@@ -218,9 +217,3 @@ def test_embedding_rejects_characteristic_mismatch(rnc3_ideal):
     sub = Ideal(other, [parse_polynomial(other, "x1*x3 - x2^2")])
     with pytest.raises(ValueError):
         tor_inclusion_map(sub, rnc3_ideal, 0, 2)
-
-
-def test_center_map_needs_a_center_action(rnc3_ideal):
-    spec = shifted_ideal_spec(eliminate(rnc3_ideal), 1)
-    with pytest.raises(ValueError):
-        tor_x0_map(spec, 0, 2)

@@ -7,16 +7,15 @@ from math import comb
 
 import pytest
 
-from innerproj.fixtures import rnc
-from innerproj.geometry import apply_change_to_ideal
+from innerproj.fixtures import rnc, segre
+from innerproj.geometry import apply_change_to_ideal, quotient_table
 from innerproj.groebner import Ideal
 from innerproj.hilbert import hilbert
-from innerproj.linalg import rank_of_columns, sparse_rows_rank
+from innerproj.linalg import sparse_rows_rank, span_echelon
 from innerproj.modspec import (
     filtration_step_spec,
     ideal_spec,
     quotient_spec,
-    residue_field_spec,
     subquotient_spec,
 )
 from innerproj.parser import parse_polynomial
@@ -42,7 +41,8 @@ def make_ideal(varnames, gens):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_residue_field_table_is_binomial(n):
     ring = PolyRing(tuple("y%d" % i for i in range(n)))
-    bt = betti_window(residue_field_spec(ring), i_max=n, j_max=2)
+    maximal = Ideal(ring, ring.gens())
+    bt = betti_window(quotient_spec(maximal), i_max=n, j_max=2)
     for i in range(n + 1):
         assert bt.entry(i, 0) == comb(n, i)
     assert all(v == 0 for (i, j), v in bt.entries.items() if j > 0)
@@ -99,6 +99,37 @@ def test_quotient_and_ideal_tables_differ_by_the_index_shift(
         assert shifted.nonzero() == direct.nonzero()
         if expected is not None:
             assert direct.nonzero() == expected
+
+
+def test_quotient_tables_match_the_hilbert_numerator(
+    rnc3_ideal, rnc4_ideal, two_planes_ideal
+):
+    # HS(R/I) = sum_i (-1)^i sum_j beta_{i,j} t^(i+j) / (1-t)^n, and the
+    # Hilbert numerator comes from the leading-term ideal, not from Koszul
+    # homology
+    moved = apply_change_to_ideal(
+        rnc3_ideal, _random_change(rnc3_ideal.ring, random.Random(11))
+    )
+    assert moved.ring.weights is None
+    cases = (rnc3_ideal, rnc4_ideal, two_planes_ideal, segre(1, 2).to_ideal(), moved)
+    for ideal in cases:
+        bt = quotient_table(ideal)
+        assert not bt.truncation_flag and bt.finitely_generated
+        top = bt.i_max + bt.j_max
+        alternating = [
+            sum((-1) ** i * bt.entry(i, t - i) for i in range(bt.i_max + 1))
+            for t in range(top + 1)
+        ]
+        numerator = list(hilbert(ideal).numerator)
+        assert all(c == 0 for c in numerator[top + 1:])
+        numerator += [0] * (top + 1 - len(numerator))
+        assert alternating == numerator[: top + 1]
+        # the module is finitely generated over the acting variables
+        # exactly when the center acts
+        assert ideal_spec(ideal, over="full").finitely_generated
+        for spec in (ideal_spec(ideal, over="tail"), subquotient_spec(ideal)):
+            assert spec.finitely_generated is False
+            assert betti_window(spec, i_max=1, j_max=2).truncation_flag is True
 
 
 # -- chain-level consistency -------------------------------------------------
@@ -257,4 +288,4 @@ def test_rank_kernels_agree_with_dense_elimination(p):
         for r, row in enumerate(rows):
             for c, v in row.items():
                 cols[c][r] = v
-        assert rank_of_columns(cols, p) == want
+        assert span_echelon(cols, p).rank == want
