@@ -140,12 +140,19 @@ _MAX_WIDEN = 9
 
 def quotient_table(ideal):
     """Untruncated Betti table of R/I over the full ring; j widened until
-    the boundary row is clean (loudly refuses past the widening cap)."""
+    the boundary row is clean (loudly refuses past the widening cap).  Its
+    alternating antidiagonal sums must give the Hilbert numerator."""
     spec = quotient_spec(ideal, over="full")
     j_max = max(ideal.max_gen_degree(), 1)
     for _ in range(_MAX_WIDEN + 1):
         bt = betti_window(spec, len(spec.acting), j_max)
         if not bt.truncation_flag:
+            num = list(hilbert(ideal).numerator)
+            alt = [0] * max(len(num), bt.i_max + bt.j_max + 1)
+            for (i, j), b in bt.entries.items():
+                alt[i + j] += (-1) ** i * b
+            if alt != num + [0] * (len(alt) - len(num)):
+                raise ValueError("Betti table gives Hilbert numerator %r, not %r" % (alt, num))
             return bt
         j_max += 1
     raise ValueError(

@@ -11,7 +11,7 @@ object, independent of the coefficient field.
 from dataclasses import dataclass
 from math import comb
 
-from .monomial import GrevLex, mono_divides, monomials_of_degree, total_degree
+from .monomial import GrevLex, minimalize, mono_divides, monomials_of_degree, total_degree
 
 
 def _poly_mul(a, b):
@@ -28,15 +28,6 @@ def _poly_add(a, b, shift=0):
     for j, y in enumerate(b):
         out[shift + j] += y
     return out
-
-
-def _minimalize(gens):
-    gens = sorted(set(gens), key=lambda g: (total_degree(g), g))
-    out = []
-    for g in gens:
-        if not any(mono_divides(h, g) for h in out):
-            out.append(g)
-    return tuple(out)
 
 
 def _numerator(gens, memo):
@@ -66,11 +57,11 @@ def _numerator(gens, memo):
             for i in s:
                 counts[i] = counts.get(i, 0) + 1
     pivot = max(sorted(counts), key=lambda i: counts[i])
-    plus = _minimalize(
+    plus = minimalize(
         [g for g in gens if g[pivot] == 0]
         + [tuple(1 if i == pivot else 0 for i in range(len(gens[0])))]
     )
-    colon = _minimalize(
+    colon = minimalize(
         [tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(g)) for g in gens]
     )
     out = _poly_add(_numerator(plus, memo), _numerator(colon, memo), shift=1)
@@ -120,7 +111,7 @@ def hilbert(ideal):
     if cached is not None:
         return cached
     n = ideal.ring.nvars
-    gens = _minimalize(ideal.groebner(GrevLex()).leading_exponents())
+    gens = minimalize(ideal.groebner(GrevLex()).leading_exponents())
     num = _numerator(gens, {})
     while num and num[-1] == 0:
         num.pop()
@@ -153,7 +144,7 @@ def hilbert(ideal):
 def standard_monomial_count(lead_exponents, nvars, d):
     """Brute-force count of degree-d monomials outside the monomial ideal;
     independent check for hilbert_function."""
-    lead = _minimalize(lead_exponents)
+    lead = minimalize(lead_exponents)
     return sum(
         1
         for m in monomials_of_degree(nvars, d)

@@ -11,36 +11,29 @@ basis G under the front-block order, the degree-d piece has basis
     f_u = u - NF(u),   u running over the degree-d leading-term monomials,
 which is triangular with respect to the order.  Under the block order the
 front-free u give exactly a basis of the pieces of the eliminated ideal,
-so subquotient and filtration-step bases are the front-divisible u, and
-expressing any element of I_d in the basis is leading-term stripping.
+so subquotient and filtration-step bases are the front-divisible u.  NF(u)
+has only standard monomials, so u is the one leading-term monomial of f_u,
+with coefficient 1: expressing an element of I_d in the basis is a
+coefficient read, the coordinate on f_u being the coefficient of u.  The
+same basis gives R/I its multiplication, since NF(u) = u - f_u.
 """
 
-from .monomial import Block, GrevLex, mono_divides, monomials_of_degree
+from .monomial import Block, GrevLex, minimalize, mono_divides, monomials_of_degree
 
 
 class _IdealPieces:
-    """Shared per-ideal cache of leading-term monomials, triangular basis
-    polynomials and expansion helpers."""
+    """Shared per-ideal cache of leading-term monomials and triangular
+    basis polynomials."""
 
     def __init__(self, ideal):
         self.ideal = ideal
         self.ring = ideal.ring
         self.order = Block(front=1) if ideal.ring.nvars > 1 else GrevLex()
         self.gb = ideal.groebner(self.order)
-        self._min_lt = None
+        self.min_lt = minimalize(self.gb.leading_exponents())
         self._lt = {}
         self._fs = {}
         self._index = {}
-
-    def minimal_lt(self):
-        if self._min_lt is None:
-            lead = list(self.gb.leading_exponents())
-            keep = []
-            for g in sorted(lead, key=lambda e: (sum(e), e)):
-                if not any(mono_divides(h, g) for h in keep):
-                    keep.append(g)
-            self._min_lt = tuple(keep)
-        return self._min_lt
 
     def lt_monomials(self, d):
         """Degree-d monomials of the leading-term ideal, descending in the
@@ -49,13 +42,12 @@ class _IdealPieces:
             if d < 0:
                 mons = ()
             else:
-                gens = self.minimal_lt()
                 mons = tuple(
                     sorted(
                         (
                             m
                             for m in monomials_of_degree(self.ring.nvars, d)
-                            if any(mono_divides(g, m) for g in gens)
+                            if any(mono_divides(g, m) for g in self.min_lt)
                         ),
                         key=self.order.key,
                         reverse=True,
@@ -80,25 +72,11 @@ class _IdealPieces:
 
     def expand(self, h, d):
         """Coefficients of h in the degree-d triangular basis, as a sparse
-        dict {basis index: coefficient}.  h must lie in I_d."""
+        dict {basis index: coefficient}.  h must lie in I_d.  u is the one
+        leading-term monomial of f_u, so the coefficient of f_u in h is
+        the coefficient of u in h."""
         index = self.index(d)
-        p = self.ring.char
-        work = dict(h.terms)
-        out = {}
-        while work:
-            ev = max(work, key=self.order.key)
-            k = index.get(ev)
-            if k is None:
-                raise ValueError("element not in the ideal piece: stray term %r" % (ev,))
-            c = work[ev]
-            out[k] = c
-            for tev, tc in self.basis_poly(d, ev).terms.items():
-                v = (work.get(tev, 0) - c * tc) % p
-                if v:
-                    work[tev] = v
-                else:
-                    work.pop(tev, None)
-        return out
+        return {index[ev]: c for ev, c in h.terms.items() if ev in index}
 
 
 class GradedModuleSpec:
@@ -187,27 +165,28 @@ class _IdealModuleSpec(GradedModuleSpec):
 
 
 class _QuotientRingSpec(GradedModuleSpec):
-    """R/I with standard-monomial bases; multiplication is normal form."""
+    """R/I with standard-monomial bases; x_v * m is u = m x_v when u is
+    standard, and NF(u) = u - f_u off the cached basis otherwise."""
 
     def _compute_piece(self, d):
-        if d < 0:
-            return ()
-        in_lt = set(self.pieces.lt_monomials(d))
-        return tuple(
-            sorted(
-                (m for m in monomials_of_degree(self.ring.nvars, d) if m not in in_lt),
-                key=self.pieces.order.key,
-                reverse=True,
-            )
+        lt = self.pieces.index(d)
+        return sorted(
+            (m for m in monomials_of_degree(self.ring.nvars, d) if m not in lt),
+            key=self.pieces.order.key,
+            reverse=True,
         )
 
     def _compute_mult(self, v, d):
         index = {m: k for k, m in enumerate(self.piece(d + 1))}
+        p = self.ring.char
         cols = []
         for m in self.piece(d):
-            prod = self.ring.monomial(m) * self.ring.var(v)
-            nf = self.pieces.gb.normal_form(prod)
-            cols.append({index[ev]: c for ev, c in nf.terms.items()})
+            u = m[:v] + (m[v] + 1,) + m[v + 1:]
+            if u in index:
+                cols.append({index[u]: 1})
+            else:
+                f = self.pieces.basis_poly(d + 1, u)
+                cols.append({index[ev]: -c % p for ev, c in f.terms.items() if ev != u})
         return cols
 
 
@@ -223,10 +202,11 @@ class _FiltrationStepSpec(GradedModuleSpec):
     module-theoretic here; the columns produced for v=0 are the canonical
     section push x0*f_u followed by projection (clamped at the step),
     meaningful on homology under the quadratic/smooth hypotheses and
-    flagged by x0_section.
+    flagged by x0_section.  Both project the ideal's shared columns.
     """
 
-    def __init__(self, ideal, step, label):
+    def __init__(self, ideal, step):
+        label = "subquotient" if step is None else "filtration<=%d" % step
         super().__init__(label, ideal, range(1, ideal.ring.nvars), x0_section=True)
         self.step = step
 
@@ -237,13 +217,13 @@ class _FiltrationStepSpec(GradedModuleSpec):
         return tuple(u for u in self.pieces.lt_monomials(d) if self._in_window(u))
 
     def _compute_mult(self, v, d):
-        src = self.piece(d)
         tgt_index = {u: k for k, u in enumerate(self.piece(d + 1))}
         full_tgt = self.pieces.lt_monomials(d + 1)
-        xs = self.ring.var(v)
+        full_cols = ideal_spec(self.ideal).mult(v, d)
         cols = []
-        for u in src:
-            full = self.pieces.expand(xs * self.pieces.basis_poly(d, u), d + 1)
+        for u, full in zip(self.pieces.lt_monomials(d), full_cols):
+            if not self._in_window(u):
+                continue
             col = {}
             for k, c in full.items():
                 w = full_tgt[k]
@@ -272,44 +252,42 @@ def _cached(ideal, key, builder):
     return cache[key]
 
 
-def ideal_spec(ideal, over="full", label=None):
+def _ring_spec(cls, kind, ideal, over):
+    """The `kind` module over the full ring ('full') or over the subring on
+    the non-front variables ('tail').  Both rosters present the same graded
+    vector space with the same multiplication, so the two specs share one
+    piece cache and one mult cache."""
+
+    def build():
+        acting = range(0 if over == "full" else 1, ideal.ring.nvars)
+        spec = cls("%s/%s" % (kind, over), ideal, acting)
+        spec._piece, spec._mult = _cached(
+            ideal, (kind, "caches"), lambda: (spec._piece, spec._mult)
+        )
+        return spec
+
+    return _cached(ideal, (kind, over), build)
+
+
+def ideal_spec(ideal, over="full"):
     """I as a module over the full ring ('full') or over the subring on
     the non-front variables ('tail')."""
-    acting = range(0 if over == "full" else 1, ideal.ring.nvars)
-    return _cached(
-        ideal,
-        ("ideal", over),
-        lambda: _IdealModuleSpec(label or "ideal/%s" % over, ideal, acting),
-    )
+    return _ring_spec(_IdealModuleSpec, "ideal", ideal, over)
 
 
-def quotient_spec(ideal, over="full", label=None):
+def quotient_spec(ideal, over="full"):
     """R/I as a module over the full ring or the non-front subring."""
-    acting = range(0 if over == "full" else 1, ideal.ring.nvars)
-    return _cached(
-        ideal,
-        ("quotient", over),
-        lambda: _QuotientRingSpec(label or "quotient/%s" % over, ideal, acting),
-    )
+    return _ring_spec(_QuotientRingSpec, "quotient", ideal, over)
 
 
-def subquotient_spec(ideal, label=None):
+def subquotient_spec(ideal):
     """I modulo its front-free part, over the non-front variables."""
     if ideal.ring.nvars < 2:
         raise ValueError("subquotient needs at least two variables")
-    return _cached(
-        ideal,
-        ("subquotient",),
-        lambda: _FiltrationStepSpec(ideal, None, label or "subquotient"),
-    )
+    return _cached(ideal, ("subquotient",), lambda: _FiltrationStepSpec(ideal, None))
 
 
-def filtration_step_spec(ideal, step, label=None):
+def filtration_step_spec(ideal, step):
     if step < 1:
         raise ValueError("filtration step must be >= 1")
-    return _cached(
-        ideal,
-        ("filtration", step),
-        lambda: _FiltrationStepSpec(ideal, step, label or "filtration<=%d" % step),
-    )
-
+    return _cached(ideal, ("filtration", step), lambda: _FiltrationStepSpec(ideal, step))

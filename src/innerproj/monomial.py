@@ -36,6 +36,15 @@ def mono_gcd(a, b):
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
+def minimalize(gens):
+    """Minimal generators of the monomial ideal of gens, by (degree, exponent)."""
+    out = []
+    for g in sorted(set(gens), key=lambda g: (total_degree(g), g)):
+        if not any(mono_divides(h, g) for h in out):
+            out.append(g)
+    return tuple(out)
+
+
 def monomials_of_degree(nvars, d):
     """All exponent tuples of total degree d, in a fixed deterministic order.
 

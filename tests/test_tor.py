@@ -3,6 +3,7 @@ resolutions, Euler-characteristic bookkeeping, derived numerics, and the
 mapping-cone identity on small fixtures."""
 
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -230,6 +231,82 @@ def test_linear_strand_rejects_non_quadratic_generation():
     assert check_n2p(betti_window(ideal_spec(cubic))) == 0
     mixed = make_ideal(("x", "y", "z"), ["x*y", "z^3"])
     assert check_n2p(betti_window(ideal_spec(mixed))) == 0
+
+
+# -- one presentation per ideal ----------------------------------------------
+
+def test_columns_are_normal_forms_and_rebuild_products(
+    rnc3_ideal, rnc4_ideal, two_planes_ideal, g24_ideal
+):
+    # quotient columns against normal forms computed from scratch, ideal
+    # columns by rebuilding x_v * f_u from the basis they claim to express
+    moved = apply_change_to_ideal(
+        rnc3_ideal, _random_change(rnc3_ideal.ring, random.Random(5))
+    )
+    assert moved.ring.weights is None
+    cases = (
+        rnc4_ideal,
+        two_planes_ideal,
+        g24_ideal,
+        moved,
+        make_ideal(("x", "y", "z"), []),
+        make_ideal(("x", "y", "z"), ["1"]),
+    )
+    for ideal in cases:
+        ring = ideal.ring
+        full, quotient = ideal_spec(ideal), quotient_spec(ideal)
+        pieces = full.pieces
+        for d in range(4):
+            for v in range(ring.nvars):
+                xs = ring.var(v)
+                target = quotient.piece(d + 1)
+                for m, col in zip(quotient.piece(d), quotient.mult(v, d)):
+                    nf = pieces.gb.normal_form(ring.monomial(m) * xs)
+                    assert {target[k]: c for k, c in col.items()} == nf.terms
+                basis = full.piece(d + 1)
+                for u, col in zip(full.piece(d), full.mult(v, d)):
+                    rebuilt = ring.zero()
+                    for k, c in col.items():
+                        rebuilt = rebuilt + pieces.basis_poly(d + 1, basis[k]).scale(c)
+                    assert rebuilt == xs * pieces.basis_poly(d, u)
+        # the full-ring and subring specs of one kind are one presentation
+        for family in (ideal_spec, quotient_spec):
+            tail = family(ideal, over="tail")
+            assert family(ideal)._mult is tail._mult
+            assert family(ideal)._piece is tail._piece
+            assert tail.mult(1, 2) is family(ideal).mult(1, 2)
+        # filtration steps and the subquotient are different modules
+        steps = (
+            filtration_step_spec(ideal, 1),
+            filtration_step_spec(ideal, 2),
+            subquotient_spec(ideal),
+        )
+        caches = [full, quotient] + list(steps)
+        assert len({id(spec._mult) for spec in caches}) == len(caches)
+        assert len({id(spec._piece) for spec in caches}) == len(caches)
+
+
+def test_quotient_table_refuses_a_table_off_the_hilbert_numerator(monkeypatch):
+    from innerproj import geometry
+
+    zero = make_ideal(("x", "y", "z"), [])
+    unit = make_ideal(("x", "y", "z"), ["1"])
+    conic = make_ideal(("x", "y", "z"), ["x*z - y^2"])
+    for ideal in (zero, unit, conic):
+        quotient_table(ideal)
+    honest = geometry.betti_window
+
+    def bumped(spec, i_max, j_max):
+        bt = honest(spec, i_max, j_max)
+        entries = dict(bt.entries)
+        entries[(1, 1)] = bt.entry(1, 1) + 1
+        return replace(bt, entries=entries)
+
+    monkeypatch.setattr(geometry, "betti_window", bumped)
+    for ideal in (zero, unit, conic):
+        fresh = Ideal(ideal.ring, ideal.gens)
+        with pytest.raises(ValueError, match="Hilbert numerator"):
+            quotient_table(fresh)
 
 
 # -- mapping cone ------------------------------------------------------------
